@@ -1,0 +1,11 @@
+"""The benchmark's unit tests: no Ray, run with ``python3 -m pytest perfbench/tests``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+for path in (BENCH, ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
